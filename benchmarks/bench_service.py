@@ -161,7 +161,8 @@ async def run_benchmark(duration: float, writers: int, readers: int) -> dict:
         return algorithm
 
     service = StreamingUpdateService(config, algorithm_factory=factory)
-    await service.register_graph("bench", pattern, data)
+    await service.register("bench", data)
+    await service.subscribe("bench", "p", pattern)
 
     stop = asyncio.Event()
     accepted = {"count": 0}
@@ -199,9 +200,9 @@ async def run_benchmark(duration: float, writers: int, readers: int) -> dict:
             await asyncio.sleep(0)
             settling = inflight["count"] > 0
             if style % 3 == 0:
-                service.matches("bench")
+                service.matches("bench", pattern_id="p")
             elif style % 3 == 1:
-                service.top_k("bench", 3)
+                service.top_k("bench", 3, pattern_id="p")
             else:
                 service.slen_distance(
                     "bench", reader_rng.choice(nodes), reader_rng.choice(nodes)
@@ -297,7 +298,8 @@ async def measure_publish_scaling() -> list[dict]:
             snapshot_history=4,
         )
         service = StreamingUpdateService(config)
-        await service.register_graph("g", pattern, data)
+        await service.register("g", data)
+        await service.subscribe("g", "p", pattern)
         shadow = data.copy()
         rng = random.Random(SEED + num_nodes)
         nodes = sorted(shadow.nodes())

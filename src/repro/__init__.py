@@ -35,7 +35,8 @@ are then maintained by **one coalesced ``SLen`` pass**
 affected-region recompute per source (or per target — the transposed
 sweep) and all insertions are applied in one multi-source relaxation
 sweep.  With ``batch_plan="partitioned"`` the deletion settle routes
-row-heavy sources through the label partition
+row-heavy sources through a label partition of the deletions-only
+graph, built for that batch only
 (:func:`repro.partition.coalesce_slen_partitioned`).
 ``batch_plan="auto"`` — the **default** — has the execution planner
 (:func:`repro.batching.plan_batch`) pick the cheapest strategy per
@@ -72,12 +73,7 @@ against fits that predict held-out observations worse than the
 incumbent; ``recalibrate_every`` (CLI ``--recalibrate-every``) swaps
 refit models in mid-run, and the CI ``calibration`` job refits from the
 benchmark grid on every push and gates on routing-accuracy
-non-regression.  UA-GPNM additionally caches its
-:class:`~repro.partition.LabelPartition` across batches (invalidated on
-:attr:`DataGraph.version <repro.graph.digraph.DataGraph.version>`
-changes, maintained incrementally per update), so the partitioned
-route's per-batch setup cost no longer distorts the telemetry it is
-judged by.
+non-regression.
 
 Pluggable ``SLen`` storage backends
 -----------------------------------

@@ -12,9 +12,7 @@ initial-query-then-subsequent-query protocol.
 from __future__ import annotations
 
 import abc
-import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -42,46 +40,12 @@ from repro.matching.bgs import bounded_simulation
 from repro.matching.candidates import CandidateSet, candidate_set
 from repro.matching.gpnm import MatchResult
 from repro.matching.shared import SharedDelta, shared_delta_from_batch
-from repro.partition.label_partition import LabelPartition
 from repro.partition.partitioned_spl import (
     build_slen_partitioned,
     coalesce_slen_partitioned,
 )
 from repro.spl.incremental import update_slen
 from repro.spl.matrix import SLenMatrix
-
-# ----------------------------------------------------------------------
-# The ``coalesce_updates`` deprecation fires once per process, not once
-# per algorithm construction (workloads build thousands of instances).
-# The flag is guarded by a lock: service handlers construct algorithms
-# on executor threads, and an unsynchronized check-then-set can emit the
-# warning from several threads at once.
-# ----------------------------------------------------------------------
-_coalesce_deprecation_warned = False
-_coalesce_deprecation_lock = threading.Lock()
-
-
-def warn_coalesce_updates_deprecated(stacklevel: int = 4) -> None:
-    """Emit the ``coalesce_updates`` DeprecationWarning at most once."""
-    global _coalesce_deprecation_warned
-    with _coalesce_deprecation_lock:
-        if _coalesce_deprecation_warned:
-            return
-        _coalesce_deprecation_warned = True
-    warnings.warn(
-        "coalesce_updates is deprecated: the execution planner is the "
-        "single decision point now; pass batch_plan='auto' instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def reset_coalesce_deprecation_warning() -> None:
-    """Re-arm the once-per-process deprecation (test hook)."""
-    global _coalesce_deprecation_warned
-    with _coalesce_deprecation_lock:
-        _coalesce_deprecation_warned = False
-
 
 @dataclass
 class QueryStats:
@@ -201,11 +165,6 @@ class GPNMAlgorithm(abc.ABC):
           (degrades to ``"coalesced"`` when ``use_partition`` is off).
 
         ``None`` selects ``"auto"``.
-    coalesce_updates:
-        Deprecated alias for ``batch_plan="auto"`` (now the default
-        anyway); the planner is the single decision point.  Passing it
-        emits a :class:`DeprecationWarning` once per process; an
-        explicit ``batch_plan`` wins.
     coalesce_min_batch:
         The planner's crossover rule: ``auto``-planned batches smaller
         than this stay on per-update maintenance (below the threshold
@@ -251,7 +210,6 @@ class GPNMAlgorithm(abc.ABC):
         enforce_totality: bool = True,
         precomputed_slen: Optional[SLenMatrix] = None,
         precomputed_relation: Optional[MatchResult] = None,
-        coalesce_updates: bool = False,
         coalesce_min_batch: int = DEFAULT_COALESCE_MIN_BATCH,
         slen_backend: Optional[str] = None,
         dense_block_size: Optional[int] = None,
@@ -264,8 +222,6 @@ class GPNMAlgorithm(abc.ABC):
         self._data = data.copy()
         self._use_partition = use_partition
         self._enforce_totality = enforce_totality
-        if coalesce_updates:
-            warn_coalesce_updates_deprecated()
         if batch_plan is None:
             batch_plan = STRATEGY_AUTO
         elif batch_plan not in PLAN_CHOICES:
@@ -296,11 +252,6 @@ class GPNMAlgorithm(abc.ABC):
         self._last_shared_delta: Optional[SharedDelta] = None
         self._last_affected_sets: tuple[AffectedSet, ...] = ()
         self._last_maintained_updates: tuple[Update, ...] = ()
-        #: Cross-batch LabelPartition cache for the partitioned route,
-        #: trusted only while ``_partition_version`` matches the data
-        #: graph's mutation counter.
-        self._partition_cache: Optional[LabelPartition] = None
-        self._partition_version: int = -1
         if precomputed_slen is not None:
             # The experiment harness shares one initial-query state across
             # the compared methods so that only the subsequent query is
@@ -312,36 +263,17 @@ class GPNMAlgorithm(abc.ABC):
                     slen_backend, dense_block_size=dense_block_size
                 )
         elif use_partition:
-            partition = LabelPartition.from_graph(self._data)
             self._slen = build_slen_partitioned(
                 self._data,
-                partition,
                 backend=slen_backend if slen_backend is not None else "sparse",
                 dense_block_size=dense_block_size,
             )
-            # The construction partition seeds the cross-batch cache.
-            self._partition_cache = partition
-            self._partition_version = self._data.version
         else:
             self._slen = SLenMatrix.from_graph(
                 self._data,
                 backend=slen_backend if slen_backend is not None else "sparse",
                 dense_block_size=dense_block_size,
             )
-        if (
-            use_partition
-            and self._partition_cache is None
-            and self._batch_plan in (STRATEGY_AUTO, STRATEGY_PARTITIONED)
-        ):
-            # Seed the cache on the precomputed-SLen path too (the
-            # experiment harness always takes it): building here keeps
-            # the O(V + E) partition construction out of the timed
-            # maintenance window, so partitioned-route telemetry is not
-            # inflated by setup the cache exists to amortise.  Plans
-            # that can never route partitioned skip the build (the
-            # lazy rebuild in _settle_partition covers stragglers).
-            self._partition_cache = LabelPartition.from_graph(self._data)
-            self._partition_version = self._data.version
         if precomputed_relation is not None:
             self._relation = MatchResult(precomputed_relation.as_dict(), enforce_totality=False)
         else:
@@ -391,25 +323,17 @@ class GPNMAlgorithm(abc.ABC):
         as the submitted batch."""
         return self._last_shared_delta
 
-    def fork_state(self) -> tuple[DataGraph, SLenMatrix, Optional[LabelPartition]]:
-        """A consistent ``(data, slen, partition)`` snapshot of internal state.
+    def fork_state(self) -> tuple[DataGraph, SLenMatrix]:
+        """A consistent ``(data, slen)`` snapshot of internal state.
 
-        The graph and (warm) partition are deep-copied — they are
-        O(|V| + |E|) — while the ``SLen`` matrix is **forked**
-        (copy-on-write on the blocked dense backend, so the O(|V|²)
-        payload is shared until a later batch writes a block).  This is
-        the cheap snapshot-publication primitive behind
-        :mod:`repro.versioning`; the returned triple never mutates, and
-        the algorithm stays fully usable.  The partition is ``None``
-        when partitioned maintenance is disabled or the cache is cold.
+        The O(|V| + |E|) graph is deep-copied while the ``SLen`` matrix
+        is **forked** (copy-on-write on the blocked dense backend, so
+        the O(|V|²) payload is shared until a later batch writes a
+        block).  This is the cheap snapshot-publication primitive behind
+        :mod:`repro.versioning`; the returned pair never mutates, and
+        the algorithm stays fully usable.
         """
-        partition: Optional[LabelPartition] = None
-        if (
-            self._partition_cache is not None
-            and self._partition_version == self._data.version
-        ):
-            partition = self._partition_cache.copy()
-        return self._data.copy(), self._slen.fork(), partition
+        return self._data.copy(), self._slen.fork()
 
     @property
     def uses_partition(self) -> bool:
@@ -547,19 +471,11 @@ class GPNMAlgorithm(abc.ABC):
     # Shared helpers
     # ------------------------------------------------------------------
     def _apply_data_update(self, update: Update, stats: QueryStats) -> AffectedSet:
-        """Apply a data update to the graph and maintain ``SLen``.
-
-        Partition-cache mirroring happens *outside* the timed window:
-        the benchmark's per-update branch does no partition bookkeeping,
-        and telemetry from both sources must measure the same quantity.
-        """
-        tracking = self._partition_tracking()
+        """Apply a data update to the graph and maintain ``SLen``."""
         started = time.perf_counter()
         update.apply(self._data)
         delta = update_slen(self._slen, self._data, update)
         stats.maintenance_seconds += time.perf_counter() - started
-        if tracking:
-            self._track_partition(update)
         stats.slen_updates += 1
         stats.recomputed_rows += len(delta.recomputed_sources)
         return affected_set_from_delta(update, delta)
@@ -611,27 +527,19 @@ class GPNMAlgorithm(abc.ABC):
         maintained by a single :func:`~repro.batching.coalesce.coalesce_slen`
         call — or, with ``partitioned``, by
         :func:`~repro.partition.partitioned_spl.coalesce_slen_partitioned`,
-        whose deletion settle goes through the label partition.  Returns
-        per-update affected sets built from the pass's attribution
-        deltas, so the elimination machinery keeps working.
+        whose deletion settle goes through the label partition (built
+        lazily, and only when a row-heavy settle recomputes through it).
+        Returns per-update affected sets built from the pass's
+        attribution deltas, so the elimination machinery keeps working.
         """
         if not data_updates:
             return []
-        # The partitioned route's deletion bookkeeping (_settle_partition)
-        # is timed — the benchmark's partitioned branch pays the same cost
-        # — but cache *upkeep* (committing insertions, mirroring updates
-        # on non-partitioned routes) is not: the benchmark does neither,
-        # and both telemetry sources must measure the same quantity.
-        tracking = not partitioned and self._partition_tracking()
         started = time.perf_counter()
-        partition = self._settle_partition(data_updates) if partitioned else None
         try:
             for update in data_updates:
                 update.apply(self._data)
             if partitioned:
-                outcome = coalesce_slen_partitioned(
-                    self._slen, self._data, data_updates, partition=partition
-                )
+                outcome = coalesce_slen_partitioned(self._slen, self._data, data_updates)
             else:
                 outcome = coalesce_slen(self._slen, self._data, data_updates)
         except Exception:
@@ -639,7 +547,6 @@ class GPNMAlgorithm(abc.ABC):
             # of the batch, so resync the matrix to whatever state it
             # reached before re-raising.  A caller that catches the error
             # is left with a consistent (graph, SLen) pair.
-            self._invalidate_partition_cache()
             self._slen = SLenMatrix.from_graph(
                 self._data,
                 horizon=self._slen.horizon,
@@ -648,11 +555,6 @@ class GPNMAlgorithm(abc.ABC):
             )
             raise
         stats.maintenance_seconds += time.perf_counter() - started
-        if partition is not None:
-            self._commit_partition_cache(data_updates)
-        elif tracking:
-            for update in data_updates:
-                self._track_partition(update)
         stats.slen_updates += 1
         stats.coalesced_batches += 1
         stats.recomputed_rows += len(outcome.delta.recomputed_sources)
@@ -660,84 +562,6 @@ class GPNMAlgorithm(abc.ABC):
             affected_set_from_delta(update, delta)
             for update, delta in zip(data_updates, outcome.per_update)
         ]
-
-    # ------------------------------------------------------------------
-    # Cross-batch LabelPartition cache (the partitioned route's O(V + E)
-    # per-batch partition rebuild becomes O(|batch|) bookkeeping)
-    # ------------------------------------------------------------------
-    def _settle_partition(self, data_updates: Sequence[Update]) -> Optional[LabelPartition]:
-        """The deletions-only :class:`LabelPartition` the partitioned
-        settle needs, served from (and maintained into) the cache.
-
-        The cache is trusted only while ``_partition_version`` matches
-        :attr:`DataGraph.version`; any out-of-band mutation forces a
-        rebuild.  The batch's deletions are applied to the cached
-        partition *before* the graph changes, yielding exactly the
-        partition of the deletions-only graph.  The cache is a pure
-        optimisation: on any failure it is dropped and ``None`` is
-        returned, making the settle derive its own partition.
-        """
-        if not self._use_partition:
-            return None
-        try:
-            if (
-                self._partition_cache is None
-                or self._partition_version != self._data.version
-            ):
-                self._partition_cache = LabelPartition.from_graph(self._data)
-                self._partition_version = self._data.version
-            for update in data_updates:
-                if update.is_deletion:
-                    self._partition_cache.apply_update(update)
-            return self._partition_cache
-        except Exception:
-            self._invalidate_partition_cache()
-            return None
-
-    def _commit_partition_cache(self, data_updates: Sequence[Update]) -> None:
-        """Roll the cached partition forward over the batch's insertions
-        so it matches the post-batch graph (deletions were applied by
-        :meth:`_settle_partition`)."""
-        if self._partition_cache is None:
-            return
-        try:
-            for update in data_updates:
-                if update.is_insertion:
-                    self._partition_cache.apply_update(update)
-        except Exception:
-            self._invalidate_partition_cache()
-            return
-        self._partition_version = self._data.version
-
-    def _invalidate_partition_cache(self) -> None:
-        """Drop the cached partition (next partitioned batch rebuilds)."""
-        self._partition_cache = None
-        self._partition_version = -1
-
-    def _partition_tracking(self) -> bool:
-        """Whether the cache is warm enough to mirror graph mutations
-        (it must match the graph *before* the mutation being applied).
-        Plans that can never route partitioned don't track — the cache
-        would be maintained forever without a consumer."""
-        return (
-            self._batch_plan in (STRATEGY_AUTO, STRATEGY_PARTITIONED)
-            and self._partition_cache is not None
-            and self._partition_version == self._data.version
-        )
-
-    def _track_partition(self, update: Update) -> None:
-        """Mirror one just-applied data update on the warm cache, so
-        per-update and plain-coalesced routes keep it from going cold
-        between partitioned batches.  O(1)-ish per edit; any failure
-        just drops the cache (pure optimisation)."""
-        if self._partition_cache is None:
-            return
-        try:
-            self._partition_cache.apply_update(update)
-        except Exception:
-            self._invalidate_partition_cache()
-            return
-        self._partition_version = self._data.version
 
     def _apply_pattern_update(self, update: Update, stats: QueryStats) -> CandidateSet:
         """Compute the candidate set of a pattern update, then apply it."""

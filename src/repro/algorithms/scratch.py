@@ -17,7 +17,6 @@ from repro.elimination.eh_tree import EHTree
 from repro.graph.updates import UpdateBatch
 from repro.matching.bgs import bounded_simulation
 from repro.matching.gpnm import MatchResult
-from repro.partition.label_partition import LabelPartition
 from repro.partition.partitioned_spl import build_slen_partitioned
 from repro.spl.matrix import SLenMatrix
 
@@ -32,8 +31,7 @@ class BatchGPNM(GPNMAlgorithm):
     ) -> tuple[MatchResult, Optional[EHTree]]:
         batch.apply_all(self._data, self._pattern)
         if self._use_partition and self._slen.horizon == float("inf"):
-            partition = LabelPartition.from_graph(self._data)
-            self._slen = build_slen_partitioned(self._data, partition)
+            self._slen = build_slen_partitioned(self._data)
         else:
             self._slen = SLenMatrix.from_graph(
                 self._data, horizon=self._slen.horizon, backend=self._slen.backend_name

@@ -53,7 +53,6 @@ from repro.batching.planner import (
     BatchStatistics,
     CostModel,
     PlanReport,
-    estimate_costs,
     plan_batch,
 )
 from repro.batching.telemetry import PlanObservation, TelemetryLog
@@ -70,7 +69,6 @@ __all__ = [
     "CostModel",
     "DEFAULT_COST_MODEL",
     "PlanReport",
-    "estimate_costs",
     "plan_batch",
     "PlanObservation",
     "TelemetryLog",

@@ -179,9 +179,13 @@ def _compile_one_graph(
     subsumed = 0
     graph_kind = stream[0][1].graph if stream else GraphKind.DATA
 
-    # Per-entity timelines, with duplicates (a repeat of the previous
-    # effective direction on the same entity) dropped as they arrive.
-    # Carried payload edges of node insertions enter the edge timelines
+    # Per-entity timelines.  Node duplicates (a repeat of the previous
+    # direction on the same node) are dropped as they arrive.  Edge
+    # duplicates are not: an edge re-inserted after its endpoint was
+    # deleted is a new edge, not a repeat, so edge entries are
+    # deduplicated only by the resolution pass below, once the node
+    # decisions have dropped the entries of dead incarnations.  Carried
+    # payload edges of node insertions enter the edge timelines
     # alongside real edge updates.
     node_timelines: dict[NodeId, list[tuple[int, Update]]] = {}
     edge_timelines: dict[tuple[NodeId, NodeId], list[_Entry]] = {}
@@ -194,11 +198,9 @@ def _compile_one_graph(
 
     for pos, update in stream:
         if update.is_edge_update:
-            timeline = edge_timelines.setdefault((update.source, update.target), [])
-            if timeline and timeline[-1].is_insertion == update.is_insertion:
-                duplicates += 1
-                continue
-            timeline.append(_Entry(pos, update.is_insertion, update, None))
+            edge_timelines.setdefault((update.source, update.target), []).append(
+                _Entry(pos, update.is_insertion, update, None)
+            )
         else:
             node_timeline = node_timelines.setdefault(update.node, [])
             if node_timeline and node_timeline[-1][1].is_insertion == update.is_insertion:
@@ -207,13 +209,9 @@ def _compile_one_graph(
             node_timeline.append((pos, update))
             if isinstance(update, NodeInsertion):
                 for edge in update.edges:
-                    entry = _Entry(pos, True, None, (pos, tuple(edge)))
-                    timeline = edge_timelines.setdefault((edge[0], edge[1]), [])
-                    if timeline and timeline[-1].is_insertion:
-                        duplicates += 1
-                        strip(entry)
-                        continue
-                    timeline.append(entry)
+                    edge_timelines.setdefault((edge[0], edge[1]), []).append(
+                        _Entry(pos, True, None, (pos, tuple(edge)))
+                    )
 
     # Resolve node timelines first: they decide which edge operations are
     # subsumed.  ``last_delete_pos`` marks, per node, the stream position

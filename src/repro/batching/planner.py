@@ -35,8 +35,8 @@ Auto routing rules, in order:
    per-update — the former ``coalesce_min_batch`` guard;
 2. batches without deletions run per-update (coalescing insertions is a
    structural non-win);
-3. insert-dominated batches (insert fraction at or above
-   :data:`INSERT_ROUTE_THRESHOLD`) run per-update;
+3. insert-dominated batches (insert fraction at or above the model's
+   ``insert_route_threshold``) run per-update;
 4. otherwise the strategy with the lowest estimated cost wins;
    partitioned-coalesced is only a candidate when a label partition is
    available.
@@ -101,8 +101,7 @@ PLAN_CHOICES: tuple[str, ...] = (STRATEGY_AUTO,) + STRATEGIES
 
 #: On-disk JSON layout version of a serialized :class:`CostModel`.
 #: Version 2 added the backend feature column (``dense_per_update_factor``
-#: + ``dense_coalesced_insert_discount``); version-1 payloads still load,
-#: with the column's coefficients at their neutral defaults.
+#: + ``dense_coalesced_insert_discount``).
 COST_MODEL_FORMAT_VERSION: int = 2
 
 #: The fields of :class:`CostModel` that are fitted coefficients (the
@@ -119,14 +118,6 @@ COST_MODEL_COEFFICIENTS: tuple[str, ...] = (
     "dense_per_update_factor",
     "dense_coalesced_insert_discount",
 )
-
-#: Coefficients absent from pre-v2 payloads, with the neutral defaults
-#: they load as (the backend feature column; see :meth:`CostModel.
-#: from_dict`).
-_OPTIONAL_COEFFICIENT_DEFAULTS: dict[str, float] = {
-    "dense_per_update_factor": 1.0,
-    "dense_coalesced_insert_discount": 1.0,
-}
 
 
 @dataclass(frozen=True)
@@ -247,29 +238,19 @@ class CostModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CostModel":
-        """Rebuild a model from :meth:`as_dict` output (strictly validated).
-
-        Accepts the current layout and version-1 payloads (written
-        before the backend feature column existed); the column's
-        coefficients load at their neutral defaults in that case.
-        """
+        """Rebuild a model from :meth:`as_dict` output (strictly validated)."""
         if not isinstance(payload, dict):
             raise ValueError(f"cost model payload must be a dict, got {type(payload).__name__}")
         fmt = payload.get("format_version")
-        if fmt not in (1, COST_MODEL_FORMAT_VERSION):
+        if fmt != COST_MODEL_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported cost model format_version {fmt!r}; "
-                f"expected {COST_MODEL_FORMAT_VERSION} (or the legacy 1)"
+                f"expected {COST_MODEL_FORMAT_VERSION}"
             )
         coefficients = dict(payload.get("coefficients", {}))
         unknown = sorted(set(coefficients) - set(COST_MODEL_COEFFICIENTS))
         if unknown:
             raise ValueError(f"unknown cost model coefficients {unknown}")
-        if fmt == 1:
-            # Only legacy payloads may omit the backend feature column;
-            # a current-format payload missing it is malformed.
-            for name, default in _OPTIONAL_COEFFICIENT_DEFAULTS.items():
-                coefficients.setdefault(name, default)
         missing = sorted(set(COST_MODEL_COEFFICIENTS) - set(coefficients))
         if missing:
             raise ValueError(f"missing cost model coefficients {missing}")
@@ -300,20 +281,6 @@ class CostModel:
 #: The shipped calibration — what ``plan_batch`` uses when no explicit
 #: model is handed in.
 DEFAULT_COST_MODEL: CostModel = CostModel()
-
-# Backwards-compatible aliases for the pre-CostModel module constants.
-# Read-only snapshots of the shipped calibration: estimate_costs /
-# plan_batch consult the CostModel they are given, never these globals,
-# so reassigning them no longer changes routing — construct and pass a
-# CostModel instead.
-COALESCE_FIXED_OVERHEAD: float = DEFAULT_COST_MODEL.coalesce_fixed_overhead
-COALESCED_INSERT_FACTOR: float = DEFAULT_COST_MODEL.coalesced_insert_factor
-COALESCED_DELETE_FACTOR: float = DEFAULT_COST_MODEL.coalesced_delete_factor
-DENSE_COALESCED_DISCOUNT: float = DEFAULT_COST_MODEL.dense_coalesced_discount
-PARTITIONED_DELETE_FACTOR: float = DEFAULT_COST_MODEL.partitioned_delete_factor
-PARTITION_OVERHEAD_PER_NODE: float = DEFAULT_COST_MODEL.partition_overhead_per_node
-PARTITION_FIXED_OVERHEAD: float = DEFAULT_COST_MODEL.partition_fixed_overhead
-INSERT_ROUTE_THRESHOLD: float = DEFAULT_COST_MODEL.insert_route_threshold
 
 
 @dataclass(frozen=True)
@@ -437,25 +404,6 @@ class PlanReport:
             "partition_available": self.statistics.partition_available,
             "costs": {name: round(cost, 3) for name, cost in self.costs.items()},
         }
-
-
-def estimate_costs(
-    statistics: BatchStatistics,
-    min_batch: int = DEFAULT_COALESCE_MIN_BATCH,
-    model: Optional[CostModel] = None,
-) -> dict[str, float]:
-    """Per-strategy cost estimates, in per-update units.
-
-    The model is deliberately tiny and interpretable: per-update costs
-    one unit per data update; the coalesced strategies pay a fixed
-    compile+setup overhead plus per-insertion / per-deletion factors
-    (:class:`CostModel` holds the calibration; ``None`` means the shipped
-    :data:`DEFAULT_COST_MODEL`).  ``min_batch`` does not enter the
-    estimates — it is a separate planner rule — but is accepted so
-    callers can evolve the model without changing signatures.
-    """
-    del min_batch  # rule-based, not cost-based; see plan_batch
-    return (model or DEFAULT_COST_MODEL).estimate(statistics)
 
 
 def plan_batch(

@@ -102,12 +102,6 @@ def _add_common_options(parser: argparse.ArgumentParser, suppress: bool) -> None
         ),
     )
     parser.add_argument(
-        "--coalesce",
-        action="store_true",
-        default=default(False),
-        help="deprecated alias for --batch-plan auto",
-    )
-    parser.add_argument(
         "--coalesce-min-batch",
         type=int,
         default=default(None),
@@ -191,8 +185,8 @@ batch plan strategy selection (--batch-plan):
                  deletion-bearing batches above the crossover (~64)
     partitioned  coalesced maintenance whose deletion settle recomputes
                  row-heavy sources through the label partition
-                 (Section V); requires a partition (UA-GPNM), pays off
-                 on large deletion volumes
+                 (Section V), built for that batch only; requires
+                 UA-GPNM's partition, pays off on large deletion volumes
 
   'auto' (the default since the planner soaked behind the differential,
   strategy-equivalence and calibration gates) picks per batch via a
@@ -707,12 +701,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     config = _config_for(args.preset)
     if getattr(args, "batch_plan", None) is not None:
         config = dataclasses.replace(config, batch_plan=args.batch_plan)
-    elif args.coalesce:
-        print(
-            "[deprecated] --coalesce is an alias for --batch-plan auto",
-            file=sys.stderr,
-        )
-        config = dataclasses.replace(config, batch_plan="auto")
     if getattr(args, "coalesce_min_batch", None) is not None:
         config = dataclasses.replace(config, coalesce_min_batch=args.coalesce_min_batch)
     if args.slen_backend != "sparse":

@@ -24,8 +24,8 @@ beyond the standard library:
 
 Reads are *pattern-addressed*: ``matches`` and ``top-k`` accept an
 optional ``"pattern_id"`` naming one of the graph's standing patterns
-(omitted, they resolve the ``"default"`` pattern the single-pattern
-registration shim binds).
+(omitted, they resolve the ``"default"`` pattern that ``ua-gpnm serve``
+subscribes when no ``--patterns`` file is given).
 
 ``subscribe`` attaches a standing pattern — and this connection — to
 the push channel; after every settle that changes the pattern's
@@ -80,7 +80,7 @@ from typing import Optional
 from repro.graph.io import pattern_graph_from_dict
 from repro.service.delta import DeltaError
 from repro.service.service import ServiceError, StreamingUpdateService
-from repro.service.subscriptions import SubscriptionDelta
+from repro.service.subscriptions import DEFAULT_PATTERN_ID, SubscriptionDelta
 from repro.versioning import VersionExpiredError
 
 #: Upper bound on one request line (protects the reader from unbounded
@@ -298,13 +298,14 @@ class ServiceServer:
         return as_of
 
     @staticmethod
-    def _pattern_id(request: dict, *, required: bool = False) -> "Optional[str]":
-        """The optional (or required) ``pattern_id`` of a request."""
+    def _pattern_id(request: dict, *, required: bool = False) -> str:
+        """The ``pattern_id`` of a request; an optional one defaults to
+        :data:`~repro.service.subscriptions.DEFAULT_PATTERN_ID`."""
         pattern_id = request.get("pattern_id")
         if pattern_id is None:
             if required:
                 raise ServiceError("request needs a 'pattern_id' key")
-            return None
+            return DEFAULT_PATTERN_ID
         if not isinstance(pattern_id, str) or not pattern_id:
             raise ServiceError("'pattern_id' must be a non-empty string")
         return pattern_id

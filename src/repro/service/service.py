@@ -17,7 +17,7 @@ continuously-available — and, with a journal directory configured,
   accepted payload is fsync-appended to the graph's write-ahead
   :class:`~repro.service.journal.GraphJournal` *before* its receipt is
   returned; settles append a checkpoint record and trigger size-bounded
-  compaction.  :meth:`register_graph` recovers any journal found for
+  compaction.  :meth:`register` recovers any journal found for
   the key: the compaction snapshot becomes the base graph and the
   uncheckpointed tail is replayed through the normal admission path, so
   a crash loses nothing a receipt was issued for.
@@ -49,14 +49,10 @@ continuously-available — and, with a journal directory configured,
   patterns, touched ones get one amendment pass.  Subscriptions are
   journaled (they ride compaction and recover on restart) and each
   settle pushes per-pattern match/top-k deltas to attached listeners.
-  The legacy one-pattern :meth:`register_graph` remains as a
-  deprecated shim over ``register`` + ``subscribe`` under the
-  ``"default"`` pattern id.
 * **Reads** — :meth:`~StreamingUpdateService.matches`,
   :meth:`~StreamingUpdateService.top_k` and
   :meth:`~StreamingUpdateService.slen_distance` answer from the last
-  published snapshot, addressed by ``(key, pattern_id)`` (``None``
-  resolves to the default pattern for backward compatibility).  They
+  published snapshot, addressed by ``(key, pattern_id)``.  They
   are plain synchronous methods that never enter the action queue, so
   a read never blocks behind an in-flight settle.
 * **Shutdown** — :meth:`~StreamingUpdateService.drain` cuts every
@@ -100,7 +96,7 @@ from repro.graph.updates import (
     UpdateBatch,
     UpdateError,
 )
-from repro.matching import MatchResult, RankedMatch, amend_match, top_k_matches
+from repro.matching import RankedMatch, amend_match, top_k_matches
 from repro.service.delta import DeltaError, UpdateData
 from repro.service.faults import (
     MID_SETTLE,
@@ -117,14 +113,11 @@ from repro.service.journal import (
 )
 from repro.service.queue import ActionScheduler, QueueClosedError
 from repro.service.subscriptions import (
-    DEFAULT_PATTERN_ID,
     PushListener,
     Subscription,
     SubscriptionEvent,
     SubscriptionState,
-    warn_register_graph_deprecated,
 )
-from repro.partition.label_partition import LabelPartition
 from repro.spl.matrix import SLenMatrix
 from repro.versioning import (
     DEFAULT_SNAPSHOT_HISTORY,
@@ -289,49 +282,33 @@ class GraphSnapshot:
     the red-green switch.  ``slen`` is a copy-on-write fork of the
     algorithm's matrix (see :meth:`repro.spl.matrix.SLenMatrix.fork`),
     so publishing a snapshot shares every unmodified block with the
-    live state instead of deep-copying the whole grid.  ``partition``
-    carries the label partition pinned with the same version (``None``
-    when partitioned maintenance is off or its cache was cold).
+    live state instead of deep-copying the whole grid.
 
     Snapshots are *pattern-aware*: ``subscriptions`` maps each standing
     pattern id to its frozen
     :class:`~repro.service.subscriptions.SubscriptionState` (pattern +
     match result + optional top-k), all sharing this one ``(data,
-    slen)`` pair.  The legacy single-pattern accessors ``result`` /
-    ``pattern`` resolve the ``"default"`` subscription the
-    :meth:`StreamingUpdateService.register_graph` shim binds.
+    slen)`` pair.
     """
 
     version: int
     data: DataGraph
     slen: SLenMatrix
     subscriptions: Mapping[str, SubscriptionState] = field(default_factory=dict)
-    partition: Optional[LabelPartition] = None
 
-    def state_for(self, pattern_id: Optional[str] = None) -> SubscriptionState:
-        """The subscription state for ``pattern_id`` (``None`` = default)."""
-        resolved = DEFAULT_PATTERN_ID if pattern_id is None else pattern_id
+    def state_for(self, pattern_id: str) -> SubscriptionState:
+        """The subscription state for ``pattern_id``."""
         try:
-            return self.subscriptions[resolved]
+            return self.subscriptions[pattern_id]
         except KeyError:
             raise ServiceError(
-                f"no subscription {resolved!r} in snapshot version {self.version}"
+                f"no subscription {pattern_id!r} in snapshot version {self.version}"
             ) from None
 
     @property
     def pattern_ids(self) -> tuple[str, ...]:
         """The subscribed pattern ids (registration order)."""
         return tuple(self.subscriptions)
-
-    @property
-    def result(self) -> MatchResult:
-        """The default subscription's match result (legacy accessor)."""
-        return self.state_for().result
-
-    @property
-    def pattern(self) -> PatternGraph:
-        """The default subscription's pattern (legacy accessor)."""
-        return self.state_for().pattern
 
 
 @dataclass(frozen=True)
@@ -574,25 +551,6 @@ class StreamingUpdateService:
                 )
         return session.snapshot
 
-    async def register_graph(
-        self, key: str, pattern: PatternGraph, data: DataGraph
-    ) -> GraphSnapshot:
-        """Deprecated single-pattern registration (shim).
-
-        Equivalent to :meth:`register` followed by :meth:`subscribe`
-        under the ``"default"`` pattern id, which is what every
-        pattern-unaddressed read resolves; returns the snapshot with the
-        default subscription bound.  Journal recovery still works: if
-        the recovered journal already holds a ``"default"``
-        subscription with the same pattern, the re-subscribe is an
-        idempotent no-op.  Emits a :class:`DeprecationWarning` once per
-        process.
-        """
-        warn_register_graph_deprecated()
-        await self.register(key, data)
-        await self.subscribe(key, DEFAULT_PATTERN_ID, pattern, replace=True)
-        return self._session(key).snapshot
-
     @staticmethod
     def _initial_snapshot(
         algorithm: GPNMAlgorithm,
@@ -605,7 +563,7 @@ class StreamingUpdateService:
         the forked state — registration and quarantine rebuilds have no
         previous relation worth amending from.
         """
-        data, slen, partition = algorithm.fork_state()
+        data, slen = algorithm.fork_state()
         states: dict[str, SubscriptionState] = {}
         if subscriptions:
             for pattern_id, subscription in subscriptions.items():
@@ -616,7 +574,6 @@ class StreamingUpdateService:
             data=data,
             slen=slen,
             subscriptions=states,
-            partition=partition,
         )
 
     @property
@@ -669,8 +626,8 @@ class StreamingUpdateService:
                     f"graph {session.key!r} already has subscription {pattern_id!r}"
                 )
             if existing.to_doc() == subscription.to_doc():
-                # Idempotent re-subscribe (the register_graph shim after
-                # journal recovery): keep the live relation + listeners.
+                # Idempotent re-subscribe (e.g. after journal recovery):
+                # keep the live relation + listeners.
                 return session.snapshot.state_for(pattern_id)
             for listener in existing.listeners:
                 subscription.attach(listener)
@@ -740,9 +697,9 @@ class StreamingUpdateService:
         """Replace the latest snapshot in place with new subscription states.
 
         Subscribe/unsubscribe change *which* patterns are bound, not
-        the graph: the data, SLen and partition are reused and the
-        version is unchanged (the version store supports replacing the
-        latest version, the same mechanism quarantine rebuilds use).
+        the graph: the data and SLen are reused and the version is
+        unchanged (the version store supports replacing the latest
+        version, the same mechanism quarantine rebuilds use).
         """
         old = session.snapshot
         snapshot = GraphSnapshot(
@@ -750,7 +707,6 @@ class StreamingUpdateService:
             data=old.data,
             slen=old.slen,
             subscriptions=dict(states),
-            partition=old.partition,
         )
         session.versions.publish(snapshot)
         return snapshot
@@ -1180,13 +1136,14 @@ class StreamingUpdateService:
             )
 
     async def _attempt_settle(self, session: _GraphSession, batch: UpdateBatch) -> None:
-        """One all-or-nothing settle attempt; raises the kernel's error.
+        """One all-or-nothing settle attempt; raises the attempt's error.
 
-        On failure the algorithm is rebuilt from the published
-        snapshot's graph — immutable and value-equal to the pre-attempt
-        state, because settles are serialized on the graph's queue — so
-        no per-attempt restore copy is needed (the PR-7 restore point
-        deep-copied the graph before every attempt).  On success the
+        On any failure before publication (in the kernel, the fan-out
+        or the snapshot build) the algorithm is rebuilt from the
+        published snapshot's graph, which is immutable and value-equal
+        to the pre-attempt state because settles are serialized on the
+        graph's queue, so no per-attempt restore copy is needed and a
+        retry never sees a half-applied batch.  On success the
         copy-on-write snapshot is published red-green style: the store
         gains the new version and the session pointer swaps atomically,
         while readers holding older handles keep them.
@@ -1196,17 +1153,17 @@ class StreamingUpdateService:
             events = await loop.run_in_executor(
                 None, self._execute_settle, session, batch
             )
+            self._faults.hit(MID_SETTLE)
+            publish_started = loop.time()
+            snapshot = await loop.run_in_executor(
+                None, self._settled_snapshot, session, events
+            )
         except Exception:
             session.settle_failures += 1
             await loop.run_in_executor(
                 None, self._rebuild_algorithm, session, session.snapshot.data
             )
             raise
-        self._faults.hit(MID_SETTLE)
-        publish_started = loop.time()
-        snapshot = await loop.run_in_executor(
-            None, self._settled_snapshot, session, events
-        )
         session.versions.publish(snapshot)
         session.history.record(batch, snapshot.version)
         session.snapshot = snapshot
@@ -1298,8 +1255,7 @@ class StreamingUpdateService:
         shared_state = getattr(algorithm, "shared_state", None)
         if shared_state is not None:
             return shared_state()
-        data, slen, _ = algorithm.fork_state()
-        return data, slen
+        return algorithm.fork_state()
 
     def _notify(
         self,
@@ -1420,13 +1376,13 @@ class StreamingUpdateService:
 
         ``fork_state`` makes this cheap: the SLen matrix is shared
         block-by-block with the live state (copy-on-write), only the
-        O(|V| + |E|) graph and partition are copied.  Subscription
-        states come from the settle's fan-out; a filter-skipped
+        O(|V| + |E|) graph is copied.  Subscription states come from
+        the settle's fan-out; a filter-skipped
         subscription republishes its previous state object unchanged
         (patterns are subscribed, never streamed, so a pattern cannot
         change mid-settle).
         """
-        data, slen, partition = session.algorithm.fork_state()
+        data, slen = session.algorithm.fork_state()
         return GraphSnapshot(
             version=session.snapshot.version + 1,
             data=data,
@@ -1434,7 +1390,6 @@ class StreamingUpdateService:
             subscriptions={
                 event.subscription.pattern_id: event.state for event in events
             },
-            partition=partition,
         )
 
     @staticmethod
@@ -1485,10 +1440,10 @@ class StreamingUpdateService:
     def pin(self, key: str, version: Optional[int] = None) -> SnapshotHandle:
         """Pin a retained version (``None`` = latest) for repeated reads.
 
-        The returned handle keeps its ``(graph, SLen, partition)``
-        triple alive across later settles and evictions until released
-        (use it as a context manager).  This is the red-green reader
-        side: pinning is wait-free with respect to the writer.
+        The returned handle keeps its snapshot alive across later
+        settles and evictions until released (use it as a context
+        manager).  This is the red-green reader side: pinning is
+        wait-free with respect to the writer.
         """
         return self._session(key).versions.pin(version)
 
@@ -1501,13 +1456,11 @@ class StreamingUpdateService:
         key: str,
         pattern_node=None,
         as_of: Optional[int] = None,
-        pattern_id: Optional[str] = None,
+        *,
+        pattern_id: str,
     ):
-        """Settled match sets: all of them, or one pattern node's.
-
-        Addressed by ``(key, pattern_id)``; ``pattern_id=None`` resolves
-        the ``"default"`` subscription (the single-pattern shim's).
-        """
+        """Settled match sets of one subscription: all of them, or one
+        pattern node's.  Addressed by ``(key, pattern_id)``."""
         state = self.snapshot(key, as_of=as_of).state_for(pattern_id)
         if pattern_node is None:
             return state.result.as_dict()
@@ -1519,7 +1472,8 @@ class StreamingUpdateService:
         k: int,
         pattern_node=None,
         as_of: Optional[int] = None,
-        pattern_id: Optional[str] = None,
+        *,
+        pattern_id: str,
     ) -> dict[object, list[RankedMatch]]:
         """Settled top-``k`` ranked matches (optionally one pattern node's).
 

@@ -69,21 +69,6 @@ class SnapshotHandle:
         """The pinned ``SLen`` matrix (a copy-on-write fork)."""
         return self.snapshot.slen
 
-    @property
-    def result(self) -> Any:
-        """The pinned match result."""
-        return self.snapshot.result
-
-    @property
-    def pattern(self) -> Any:
-        """The pinned pattern graph."""
-        return self.snapshot.pattern
-
-    @property
-    def partition(self) -> Any:
-        """The pinned label partition (``None`` when not maintained)."""
-        return getattr(self.snapshot, "partition", None)
-
     # ------------------------------------------------------------------
     # Refcounting
     # ------------------------------------------------------------------

@@ -362,6 +362,84 @@ class TestIdempotence:
         assert twice.report.is_noop
 
 
+def _stream_with_resurrections(rng, names=tuple(f"n{i}" for i in range(6)), max_len=9):
+    """A random valid data-update stream over a small graph.
+
+    Node ids are drawn from a fixed pool, so deleted nodes get
+    re-inserted (with fresh labels and edges) and deleted edges come
+    back, often several times in one stream.  Returns ``(base, stream,
+    expected)``: the starting graph, the stream, and the graph the raw
+    stream produces when applied in order.
+    """
+    graph = DataGraph({name: rng.choice("XY") for name in names[:4]}, [])
+    for source in names[:4]:
+        for target in names[:4]:
+            if source != target and rng.random() < 0.3:
+                graph.add_edge(source, target)
+    base = graph.copy()
+    stream = []
+    for _ in range(rng.randint(1, max_len)):
+        nodes = sorted(graph.nodes())
+        absent = [name for name in names if name not in graph.nodes()]
+        choice = rng.random()
+        if choice < 0.3 and len(nodes) >= 2:
+            source, target = rng.sample(nodes, 2)
+            if graph.has_edge(source, target):
+                continue
+            update = insert_data_edge(source, target)
+        elif choice < 0.55 and graph.number_of_edges:
+            update = delete_data_edge(*rng.choice(sorted(graph.edges())))
+        elif choice < 0.75 and nodes:
+            victim = rng.choice(nodes)
+            update = delete_data_node(victim, graph.labels_of(victim))
+        elif absent:
+            node = rng.choice(absent)
+            neighbours = rng.sample(nodes, min(len(nodes), rng.randint(0, 2)))
+            edges = tuple(
+                (other, node) if rng.random() < 0.5 else (node, other)
+                for other in neighbours
+            )
+            update = insert_data_node(node, rng.choice("XY"), edges=edges)
+        else:
+            continue
+        update.apply(graph)
+        stream.append(update)
+    return base, stream, graph
+
+
+class TestCompiledEquivalence:
+    """Metamorphic property: applying the compiled stream yields the
+    same graph as applying the raw stream, resurrections included."""
+
+    def test_edge_reinserted_after_endpoint_resurrection(self):
+        stream = [
+            insert_data_edge("a", "b"),
+            delete_data_node("b", ("X",)),
+            insert_data_node("b", "X", edges=(("a", "b"),)),
+        ]
+        for tail in ([], [delete_data_edge("a", "b"), insert_data_edge("a", "b")]):
+            graph = DataGraph({"a": "X", "b": "X"}, [])
+            expected = graph.copy()
+            for update in stream + tail:
+                update.apply(expected)
+            assert expected.has_edge("a", "b")
+            compile_batch(stream + tail).batch.apply_all(graph)
+            assert graph == expected
+
+    def test_randomised_streams_with_resurrections(self):
+        import random
+
+        resurrecting = 0
+        for seed in range(2000):
+            base, stream, expected = _stream_with_resurrections(random.Random(seed))
+            compiled = compile_batch(stream)
+            resurrecting += compiled.report.resurrections > 0
+            got = base.copy()
+            compiled.batch.apply_all(got)
+            assert got == expected, (seed, stream, list(compiled))
+        assert resurrecting > 100  # the property is exercised, not vacuous
+
+
 class TestCanonicalOrderAndApplicability:
     def test_group_order(self):
         stream = [

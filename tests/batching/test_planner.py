@@ -2,10 +2,8 @@
 
 Covers the routing rules (the ``coalesce_min_batch`` guard as a planner
 rule, insert-dominated routing, cost-model argmin, partitioned
-availability), the ``PlanReport`` surface, and the deprecation of the
-raw ``coalesce_updates`` flag — the planner is the single source of
-truth now, so the old "flag says coalesce, guard says per-update"
-disagreement is gone by construction.
+availability), the ``PlanReport`` surface, and the planner as the single
+source of truth for the maintenance route.
 """
 
 from __future__ import annotations
@@ -15,12 +13,10 @@ import pytest
 from repro.algorithms.ua_gpnm import UAGPNM
 from repro.batching.planner import (
     DEFAULT_COST_MODEL,
-    INSERT_ROUTE_THRESHOLD,
     PLAN_CHOICES,
     STRATEGIES,
     BatchStatistics,
     CostModel,
-    estimate_costs,
     plan_batch,
 )
 from repro.graph.updates import (
@@ -73,7 +69,7 @@ class TestAutoRouting:
         plan = plan_batch(stats(insertions=205, deletions=51))
         assert plan.strategy == "per-update"
         assert "insert-dominated" in plan.reason
-        assert plan.statistics.insert_fraction >= INSERT_ROUTE_THRESHOLD
+        assert plan.statistics.insert_fraction >= DEFAULT_COST_MODEL.insert_route_threshold
 
     def test_delete_heavy_batch_coalesces(self):
         plan = plan_batch(stats(insertions=51, deletions=205))
@@ -88,9 +84,9 @@ class TestAutoRouting:
         assert large.strategy == "partitioned"
 
     def test_partitioned_not_offered_without_partition(self):
-        costs = estimate_costs(stats(partition=False))
+        costs = DEFAULT_COST_MODEL.estimate(stats(partition=False))
         assert "partitioned" not in costs
-        costs = estimate_costs(stats(partition=True))
+        costs = DEFAULT_COST_MODEL.estimate(stats(partition=True))
         assert set(costs) == set(STRATEGIES)
 
     def test_balanced_crossover_matches_benchmark(self):
@@ -104,10 +100,6 @@ class TestAutoRouting:
 
 class TestCostModelParameter:
     """plan_batch consumes an explicit CostModel (ISSUE 4 acceptance)."""
-
-    def test_default_model_matches_module_constants(self):
-        assert DEFAULT_COST_MODEL.insert_route_threshold == INSERT_ROUTE_THRESHOLD
-        assert estimate_costs(stats()) == DEFAULT_COST_MODEL.estimate(stats())
 
     def test_model_changes_routing(self):
         s = stats(insertions=51, deletions=205)
@@ -163,23 +155,16 @@ class TestCostModelParameter:
         cheap_dense = DEFAULT_COST_MODEL.replace(dense_per_update_factor=0.05)
         assert plan_batch(s, model=cheap_dense).strategy == "per-update"
 
-    def test_v1_payload_loads_with_neutral_column(self):
-        """Pre-column CostModel JSON still loads (format_version 1)."""
-        payload = DEFAULT_COST_MODEL.as_dict()
-        payload["format_version"] = 1
-        for name in ("dense_per_update_factor", "dense_coalesced_insert_discount"):
-            del payload["coefficients"][name]
-        loaded = CostModel.from_dict(payload)
-        assert loaded.dense_per_update_factor == 1.0
-        assert loaded.dense_coalesced_insert_discount == 1.0
-        assert loaded.coalesce_fixed_overhead == DEFAULT_COST_MODEL.coalesce_fixed_overhead
-
     def test_current_format_must_carry_the_column(self):
         """A format_version-2 payload missing the backend feature
-        column is malformed, not silently neutral."""
+        column is malformed, not silently neutral; a format_version-1
+        payload (written before the column existed) is unsupported."""
         payload = DEFAULT_COST_MODEL.as_dict()
         del payload["coefficients"]["dense_per_update_factor"]
         with pytest.raises(ValueError, match="missing cost model coefficients"):
+            CostModel.from_dict(payload)
+        payload["format_version"] = 1
+        with pytest.raises(ValueError, match="unsupported cost model format_version"):
             CostModel.from_dict(payload)
 
     def test_algorithms_expose_active_model(self):
@@ -241,16 +226,7 @@ class TestBatchStatistics:
 
 
 class TestDeprecatedFlag:
-    """``coalesce_updates`` is deprecated; the planner decides."""
-
-    @pytest.fixture(autouse=True)
-    def _rearm_deprecation(self):
-        """The warning fires once per process; re-arm it per test."""
-        from repro.algorithms.base import reset_coalesce_deprecation_warning
-
-        reset_coalesce_deprecation_warning()
-        yield
-        reset_coalesce_deprecation_warning()
+    """``batch_plan`` is the only route selector; the planner decides."""
 
     def _instance(self):
         from tests.conftest import make_random_graph, make_random_pattern
@@ -258,32 +234,6 @@ class TestDeprecatedFlag:
         data = make_random_graph(seed=5)
         pattern = make_random_pattern(seed=5)
         return pattern, data
-
-    def test_coalesce_updates_warns(self):
-        pattern, data = self._instance()
-        with pytest.warns(DeprecationWarning, match="batch_plan"):
-            engine = UAGPNM(pattern, data, coalesce_updates=True)
-        assert engine.batch_plan == "auto"
-
-    def test_warning_fires_once_per_process(self):
-        """Workloads construct thousands of instances; the deprecation
-        must not fire once per constructor."""
-        import warnings as _warnings
-
-        pattern, data = self._instance()
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
-            UAGPNM(pattern, data, coalesce_updates=True)
-            UAGPNM(pattern, data, coalesce_updates=True)
-            UAGPNM(pattern, data, coalesce_updates=True)
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-
-    def test_explicit_batch_plan_wins_over_flag(self):
-        pattern, data = self._instance()
-        with pytest.warns(DeprecationWarning):
-            engine = UAGPNM(pattern, data, coalesce_updates=True, batch_plan="per-update")
-        assert engine.batch_plan == "per-update"
 
     def test_no_flag_no_warning(self):
         import warnings as _warnings
@@ -308,12 +258,10 @@ class TestDeprecatedFlag:
         assert engine.coalesces_updates
 
     def test_planner_is_single_source_of_truth(self):
-        """The old latent disagreement: flag on, batch under the
-        crossover.  The planner decides (per-update) and the record says
-        so — no coalesced pass, no silent flag/guard split."""
+        """A batch under the crossover: the planner decides
+        (per-update) and the record says so — no coalesced pass."""
         pattern, data = self._instance()
-        with pytest.warns(DeprecationWarning):
-            engine = UAGPNM(pattern, data, coalesce_updates=True, coalesce_min_batch=64)
+        engine = UAGPNM(pattern, data, batch_plan="auto", coalesce_min_batch=64)
         batch = [insert_data_edge("n0", "n9"), delete_data_edge("n1", "n2")]
         from repro.graph.digraph import DataGraph
 

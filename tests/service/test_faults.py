@@ -10,6 +10,7 @@ durability is decided at the fsync, not at the receipt).
 """
 
 import asyncio
+import logging
 import threading
 
 import pytest
@@ -77,13 +78,14 @@ def run(coro):
 async def oracle_state(payloads):
     """The uninterrupted run: apply ``payloads`` with no journal/faults."""
     service = StreamingUpdateService(ServiceConfig(**QUIET))
-    await service.register_graph("g", make_pattern(), make_data())
+    await service.register("g", make_data())
+    await service.subscribe("g", "p", make_pattern())
     for payload in payloads:
         receipt = await service.submit("g", payload)
         assert receipt.rejected == 0
     await service.drain()
     snapshot = service.snapshot("g")
-    state = (snapshot.data, snapshot.slen, snapshot.result.as_dict())
+    state = (snapshot.data, snapshot.slen, snapshot.state_for("p").result.as_dict())
     await service.close()
     return state
 
@@ -128,7 +130,8 @@ async def crash_run(journal_dir, arm, payloads=WORKLOAD):
     service = StreamingUpdateService(
         ServiceConfig(journal_dir=str(journal_dir), **EAGER), faults=faults
     )
-    await service.register_graph("g", make_pattern(), make_data())
+    await service.register("g", make_data())
+    await service.subscribe("g", "p", make_pattern())
     durable = []
     crashed = False
     for payload in payloads:
@@ -156,11 +159,11 @@ async def recover_and_snapshot(journal_dir):
     service = StreamingUpdateService(
         ServiceConfig(journal_dir=str(journal_dir), **QUIET)
     )
-    await service.register_graph("g", make_pattern(), make_data())
+    await service.register("g", make_data())
     await service.drain()
     snapshot = service.snapshot("g")
     stats = service.stats("g")
-    state = (snapshot.data, snapshot.slen, snapshot.result.as_dict())
+    state = (snapshot.data, snapshot.slen, snapshot.state_for("p").result.as_dict())
     await service.close()
     return state, stats
 
@@ -201,14 +204,14 @@ def test_recovered_service_keeps_accepting_and_checkpointing(tmp_path):
         await crash_run(tmp_path, lambda f: f.arm(PRE_SETTLE, after=0))
         config = ServiceConfig(journal_dir=str(tmp_path), **QUIET)
         revived = StreamingUpdateService(config)
-        await revived.register_graph("g", make_pattern(), make_data())
+        await revived.register("g", make_data())
         await revived.drain()
         receipt = await revived.submit("g", {"inserts": [edge_spec("n4", "n6")]})
         assert receipt.accepted == 1
         await revived.close()
 
         third = StreamingUpdateService(config)
-        await third.register_graph("g", make_pattern(), make_data())
+        await third.register("g", make_data())
         await third.drain()
         assert third.snapshot("g").data.has_edge("n4", "n6")
         await third.close()
@@ -231,7 +234,8 @@ def test_transient_settle_failure_is_retried_to_success(tmp_path):
             ),
             algorithm_factory=factory,
         )
-        await service.register_graph("g", make_pattern(), make_data())
+        await service.register("g", make_data())
+        await service.subscribe("g", "p", make_pattern())
         await service.submit("g", {"inserts": [edge_spec("n0", "n2")]})
         await service.drain()
         stats = service.stats("g")
@@ -245,6 +249,46 @@ def test_transient_settle_failure_is_retried_to_success(tmp_path):
         await service.close()
 
     run(scenario())
+
+
+def test_failure_after_the_kernel_restores_the_engine_for_the_retry(caplog):
+    # The batch ran through the engine, then building the published
+    # snapshot raised.  The attempt must still roll the engine back:
+    # otherwise the retry applies the batch a second time, dies with
+    # DuplicateEdgeError and burns the retry budget on good deltas.
+    async def scenario():
+        service = StreamingUpdateService(
+            ServiceConfig(settle_retries=2, settle_backoff_seconds=0.001, **QUIET)
+        )
+        await service.register("g", make_data())
+        await service.subscribe("g", "p", make_pattern())
+        build_snapshot = service._settled_snapshot
+        calls = []
+
+        def fail_first_build(session, events):
+            calls.append(session.key)
+            if len(calls) == 1:
+                raise RuntimeError("injected snapshot failure")
+            return build_snapshot(session, events)
+
+        service._settled_snapshot = fail_first_build
+        for payload in WORKLOAD:
+            assert (await service.submit("g", payload)).rejected == 0
+        await service.drain()
+        stats = service.stats("g")
+        assert stats["settle_failures"] == 1
+        assert stats["settle_retries"] == 1  # the first retry succeeded
+        assert stats["quarantined"] == 0
+        assert stats["settled"] == stats["accepted"]
+        snapshot = service.snapshot("g")
+        state = (snapshot.data, snapshot.slen, snapshot.state_for("p").result.as_dict())
+        await service.close()
+        return state
+
+    with caplog.at_level(logging.WARNING, logger="repro.service"):
+        state = run(scenario())
+    assert "DuplicateEdgeError" not in caplog.text
+    assert state == run(oracle_state(WORKLOAD))
 
 
 def test_poison_delta_is_quarantined_and_the_graph_lives_on(tmp_path):
@@ -268,7 +312,8 @@ def test_poison_delta_is_quarantined_and_the_graph_lives_on(tmp_path):
             ),
             algorithm_factory=factory,
         )
-        await service.register_graph("g", make_pattern(), make_data())
+        await service.register("g", make_data())
+        await service.subscribe("g", "p", make_pattern())
         # One batch: the poison delta plus two innocents.
         await service.submit(
             "g",
@@ -308,7 +353,7 @@ def test_poison_delta_is_quarantined_and_the_graph_lives_on(tmp_path):
         assert receipt.accepted == 1
         await service.drain()
         assert service.snapshot("g").data.has_edge("n2", "n5")
-        assert service.matches("g") is not None
+        assert service.matches("g", pattern_id="p") is not None
         await service.close()
 
     run(scenario())
@@ -347,7 +392,8 @@ def test_quarantine_cascades_to_buffered_dependents(tmp_path):
             ),
             algorithm_factory=factory,
         )
-        await service.register_graph("g", make_pattern(), make_data())
+        await service.register("g", make_data())
+        await service.subscribe("g", "p", make_pattern())
         first = service.submit_nowait(
             "g", {"inserts": [edge_spec("n0", "n2"), edge_spec("n1", "n4")]}
         )
@@ -387,7 +433,8 @@ def test_queue_errors_surface_in_stats_and_log(tmp_path, caplog):
         service = StreamingUpdateService(
             ServiceConfig(journal_dir=str(tmp_path), **EAGER), faults=faults
         )
-        await service.register_graph("g", make_pattern(), make_data())
+        await service.register("g", make_data())
+        await service.subscribe("g", "p", make_pattern())
         await service.submit("g", {"inserts": [edge_spec("n0", "n2")]})
         await service.quiesce()
         assert len(service.errors) == 1
@@ -399,8 +446,6 @@ def test_queue_errors_surface_in_stats_and_log(tmp_path, caplog):
             for record in caplog.records
         )
         await service.abort()
-
-    import logging
 
     with caplog.at_level(logging.ERROR, logger="repro.service"):
         run(scenario())
@@ -458,7 +503,7 @@ def test_recovery_splits_settle_provenance(tmp_path):
         service = StreamingUpdateService(
             ServiceConfig(journal_dir=str(tmp_path), **QUIET)
         )
-        await service.register_graph("g", make_pattern(), make_data())
+        await service.register("g", make_data())
         await service.drain()
         stats = service.stats("g")
         # The journaled-but-unsettled tail settled as *recovered*.
@@ -504,7 +549,7 @@ def test_replayed_window_is_an_oracle_for_recovery(tmp_path):
             str(u): sorted(str(v) for v in vs) for u, vs in recovered[2].items()
         }
         replayed = {
-            u: list(vs) for u, vs in result.final.as_of[0]["default"].items()
+            u: list(vs) for u, vs in result.final.as_of[0]["p"].items()
         }
         assert replayed == expected_matches
 

@@ -401,7 +401,8 @@ def test_replay_is_idempotent_across_repeated_recoveries(tmp_path):
     async def scenario():
         config = ServiceConfig(journal_dir=str(tmp_path), **QUIET)
         service = StreamingUpdateService(config)
-        await service.register_graph("g", make_pattern(), make_graph())
+        await service.register("g", make_graph())
+        await service.subscribe("g", "p", make_pattern())
         receipt = await service.submit(
             "g", {"inserts": [{"type": "edge", "source": "n0", "target": "n3"}]}
         )
@@ -412,7 +413,7 @@ def test_replay_is_idempotent_across_repeated_recoveries(tmp_path):
 
         for boot in range(3):
             revived = StreamingUpdateService(config)
-            await revived.register_graph("g", make_pattern(), make_graph())
+            await revived.register("g", make_graph())
             await revived.drain()
             stats = revived.stats("g")
             snapshot = revived.snapshot("g")
@@ -436,7 +437,8 @@ def test_recovery_skips_deltas_already_present_in_the_base(tmp_path):
     async def scenario():
         config = ServiceConfig(journal_dir=str(tmp_path), **QUIET)
         service = StreamingUpdateService(config)
-        await service.register_graph("g", make_pattern(), make_graph())
+        await service.register("g", make_graph())
+        await service.subscribe("g", "p", make_pattern())
         await service.submit(
             "g", {"inserts": [{"type": "edge", "source": "n0", "target": "n3"}]}
         )
@@ -447,7 +449,7 @@ def test_recovery_skips_deltas_already_present_in_the_base(tmp_path):
         base = make_graph()
         base.add_edge("n0", "n3")
         revived = StreamingUpdateService(config)
-        await revived.register_graph("g", make_pattern(), base)
+        await revived.register("g", base)
         await revived.drain()
         stats = revived.stats("g")
         assert stats["recovery_skipped"] == 1

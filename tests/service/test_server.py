@@ -4,7 +4,12 @@ import asyncio
 import json
 
 from repro.graph import DataGraph, PatternGraph
-from repro.service import ServiceConfig, ServiceServer, StreamingUpdateService
+from repro.service import (
+    DEFAULT_PATTERN_ID,
+    ServiceConfig,
+    ServiceServer,
+    StreamingUpdateService,
+)
 
 
 def make_data() -> DataGraph:
@@ -54,7 +59,8 @@ def test_server_round_trip():
         service = StreamingUpdateService(
             ServiceConfig(deadline_seconds=0.0, max_buffer=10_000, coalesce_min_batch=10_000)
         )
-        await service.register_graph("g", make_pattern(), make_data())
+        await service.register("g", make_data())
+        await service.subscribe("g", DEFAULT_PATTERN_ID, make_pattern())
         server = ServiceServer(service, port=0)
         host, port = await server.start()
         assert port != 0  # ephemeral port was bound and reflected
@@ -119,7 +125,8 @@ def test_server_error_paths_keep_the_connection_alive():
         service = StreamingUpdateService(
             ServiceConfig(deadline_seconds=30.0, max_buffer=10_000, coalesce_min_batch=10_000)
         )
-        await service.register_graph("g", make_pattern(), make_data())
+        await service.register("g", make_data())
+        await service.subscribe("g", DEFAULT_PATTERN_ID, make_pattern())
         server = ServiceServer(service, port=0)
         host, port = await server.start()
         reader, writer = await asyncio.open_connection(host, port)
@@ -162,7 +169,8 @@ def test_server_refuses_updates_when_overloaded():
         service = StreamingUpdateService(
             ServiceConfig(deadline_seconds=30.0, max_buffer=10_000, coalesce_min_batch=10_000)
         )
-        await service.register_graph("g", make_pattern(), make_data())
+        await service.register("g", make_data())
+        await service.subscribe("g", DEFAULT_PATTERN_ID, make_pattern())
         server = ServiceServer(service, port=0, max_pending=2)
         host, port = await server.start()
         reader, writer = await asyncio.open_connection(host, port)
@@ -204,7 +212,8 @@ def test_server_closes_idle_connections():
         service = StreamingUpdateService(
             ServiceConfig(deadline_seconds=30.0, max_buffer=10_000, coalesce_min_batch=10_000)
         )
-        await service.register_graph("g", make_pattern(), make_data())
+        await service.register("g", make_data())
+        await service.subscribe("g", DEFAULT_PATTERN_ID, make_pattern())
         server = ServiceServer(service, port=0, idle_timeout=0.1)
         host, port = await server.start()
         reader, writer = await asyncio.open_connection(host, port)

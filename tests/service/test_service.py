@@ -60,7 +60,8 @@ def test_concurrent_writers_settle_to_the_sequential_oracle():
     async def scenario():
         data = make_data(12)
         service = StreamingUpdateService(ServiceConfig(**QUIET))
-        await service.register_graph("g", make_pattern(), data)
+        await service.register("g", data)
+        await service.subscribe("g", "p", make_pattern())
 
         # Each writer owns a disjoint set of non-ring pairs and toggles
         # them an odd number of times, so the expected final graph is
@@ -93,7 +94,7 @@ def test_concurrent_writers_settle_to_the_sequential_oracle():
         oracle_slen = SLenMatrix.from_graph(expected)
         assert snapshot.slen == oracle_slen
         oracle_result = bounded_simulation(make_pattern(), expected, oracle_slen)
-        assert snapshot.result.as_dict() == dict(oracle_result)
+        assert snapshot.state_for("p").result.as_dict() == dict(oracle_result)
 
         stats = service.stats("g")
         # 3 writers x 2 owned pairs x 7 toggles per pair, none rejected.
@@ -112,7 +113,8 @@ def test_deadline_expiry_cuts_the_buffer():
         service = StreamingUpdateService(
             ServiceConfig(deadline_seconds=0.05, max_buffer=10_000, coalesce_min_batch=10_000)
         )
-        await service.register_graph("g", make_pattern(), make_data())
+        await service.register("g", make_data())
+        await service.subscribe("g", "p", make_pattern())
         receipt = await service.submit("g", {"inserts": [edge_spec("n0", "n2")]})
         assert receipt.cut is None
         assert receipt.pending == 1
@@ -138,7 +140,8 @@ def test_planner_crossover_cuts_immediately():
         service = StreamingUpdateService(
             ServiceConfig(deadline_seconds=30.0, max_buffer=10_000, coalesce_min_batch=4)
         )
-        await service.register_graph("g", make_pattern(), make_data(40))
+        await service.register("g", make_data(40))
+        await service.subscribe("g", "p", make_pattern())
         # A deletion-heavy batch past the cost model's coalescing
         # crossover routes off per-update maintenance, which is the
         # service's cut signal (32 deletions on 40 nodes prices
@@ -162,7 +165,8 @@ def test_capacity_backstop_cuts_when_buffer_fills():
         service = StreamingUpdateService(
             ServiceConfig(deadline_seconds=30.0, max_buffer=3, coalesce_min_batch=10_000)
         )
-        await service.register_graph("g", make_pattern(), make_data())
+        await service.register("g", make_data())
+        await service.subscribe("g", "p", make_pattern())
         receipt = await service.submit(
             "g",
             {
@@ -186,7 +190,8 @@ def test_zero_deadline_cuts_every_payload():
         service = StreamingUpdateService(
             ServiceConfig(deadline_seconds=0.0, max_buffer=10_000, coalesce_min_batch=10_000)
         )
-        await service.register_graph("g", make_pattern(), make_data())
+        await service.register("g", make_data())
+        await service.subscribe("g", "p", make_pattern())
         receipt = await service.submit("g", {"inserts": [edge_spec("n0", "n2")]})
         assert receipt.cut == CUT_DEADLINE
         await service.drain()
@@ -203,7 +208,8 @@ def test_close_settles_every_accepted_delta():
     async def scenario():
         data = make_data(12)
         service = StreamingUpdateService(ServiceConfig(**QUIET))
-        await service.register_graph("g", make_pattern(), data)
+        await service.register("g", data)
+        await service.subscribe("g", "p", make_pattern())
         pairs = [("n0", f"n{i}") for i in range(2, 11)]
         for source, target in pairs:
             receipt = await service.submit("g", {"inserts": [edge_spec(source, target)]})
@@ -251,7 +257,8 @@ def test_reads_answer_from_last_snapshot_while_settle_is_in_flight():
             ServiceConfig(deadline_seconds=0.0, max_buffer=10_000, coalesce_min_batch=10_000),
             algorithm_factory=slow_factory,
         )
-        await service.register_graph("g", make_pattern(), make_data())
+        await service.register("g", make_data())
+        await service.subscribe("g", "p", make_pattern())
         baseline = service.snapshot("g")
 
         receipt = await service.submit("g", {"inserts": [edge_spec("n0", "n2")]})
@@ -262,13 +269,13 @@ def test_reads_answer_from_last_snapshot_while_settle_is_in_flight():
         # must return promptly from the last published snapshot.
         started = time.perf_counter()
         snapshot = service.snapshot("g")
-        matched = service.matches("g")
+        matched = service.matches("g", pattern_id="p")
         distance = service.slen_distance("g", "n0", "n1")
         elapsed = time.perf_counter() - started
         assert elapsed < 0.5, f"reads stalled {elapsed:.3f}s behind the settle"
         assert snapshot.version == baseline.version == 0
         assert not snapshot.data.has_edge("n0", "n2")
-        assert set(matched) == set(baseline.result.as_dict())
+        assert set(matched) == set(baseline.state_for("p").result.as_dict())
         assert distance == 1
 
         release_settle.set()
@@ -287,7 +294,8 @@ def test_reads_answer_from_last_snapshot_while_settle_is_in_flight():
 def test_validation_sees_buffered_but_unsettled_deltas():
     async def scenario():
         service = StreamingUpdateService(ServiceConfig(**QUIET))
-        await service.register_graph("g", make_pattern(), make_data())
+        await service.register("g", make_data())
+        await service.subscribe("g", "p", make_pattern())
         first = await service.submit("g", {"inserts": [edge_spec("n0", "n2")]})
         assert (first.accepted, first.rejected) == (1, 0)
         # Still buffered — yet the duplicate must be rejected against
@@ -304,7 +312,8 @@ def test_validation_sees_buffered_but_unsettled_deltas():
 def test_invalid_deltas_are_rejected_with_reasons_and_valid_ones_kept():
     async def scenario():
         service = StreamingUpdateService(ServiceConfig(**QUIET))
-        await service.register_graph("g", make_pattern(), make_data())
+        await service.register("g", make_data())
+        await service.subscribe("g", "p", make_pattern())
         receipt = await service.submit(
             "g",
             {
@@ -333,7 +342,8 @@ def test_invalid_deltas_are_rejected_with_reasons_and_valid_ones_kept():
 def test_node_insert_payload_edges_are_validated():
     async def scenario():
         service = StreamingUpdateService(ServiceConfig(**QUIET))
-        await service.register_graph("g", make_pattern(), make_data())
+        await service.register("g", make_data())
+        await service.subscribe("g", "p", make_pattern())
         bad = await service.submit(
             "g",
             {
@@ -378,9 +388,10 @@ def test_unknown_graph_and_duplicate_registration_raise():
             await service.submit("nope", {"inserts": []})
         with pytest.raises(ServiceError, match="unknown graph"):
             service.snapshot("nope")
-        await service.register_graph("g", make_pattern(), make_data())
+        await service.register("g", make_data())
+        await service.subscribe("g", "p", make_pattern())
         with pytest.raises(ServiceError, match="already registered"):
-            await service.register_graph("g", make_pattern(), make_data())
+            await service.register("g", make_data())
         await service.close()
 
     run(scenario())
@@ -389,7 +400,8 @@ def test_unknown_graph_and_duplicate_registration_raise():
 def test_payload_addressed_to_a_different_graph_is_refused():
     async def scenario():
         service = StreamingUpdateService(ServiceConfig(**QUIET))
-        await service.register_graph("g", make_pattern(), make_data())
+        await service.register("g", make_data())
+        await service.subscribe("g", "p", make_pattern())
         with pytest.raises(DeltaError, match="addresses graph"):
             await service.submit("g", {"graph": "other", "inserts": []})
         await service.close()
@@ -400,8 +412,10 @@ def test_payload_addressed_to_a_different_graph_is_refused():
 def test_graphs_are_independent():
     async def scenario():
         service = StreamingUpdateService(ServiceConfig(**QUIET))
-        await service.register_graph("a", make_pattern(), make_data())
-        await service.register_graph("b", make_pattern(), make_data())
+        await service.register("a", make_data())
+        await service.subscribe("a", "p", make_pattern())
+        await service.register("b", make_data())
+        await service.subscribe("b", "p", make_pattern())
         await service.submit("a", {"inserts": [edge_spec("n0", "n2")]})
         await service.close()
         assert service.snapshot("a").data.has_edge("n0", "n2")
@@ -423,7 +437,8 @@ def test_telemetry_is_saved_on_close(tmp_path):
                 telemetry_path=str(path),
             )
         )
-        await service.register_graph("g", make_pattern(), make_data())
+        await service.register("g", make_data())
+        await service.subscribe("g", "p", make_pattern())
         await service.submit("g", {"inserts": [edge_spec("n0", "n2")]})
         await service.close()
         assert path.exists()

@@ -19,19 +19,12 @@ The load-bearing suite of the subscription system:
 """
 
 import asyncio
-import warnings
 
 import pytest
 
 from repro.graph import DataGraph, PatternGraph
 from repro.matching import MatchResult, bounded_simulation, top_k_matches
-from repro.service import (
-    DEFAULT_PATTERN_ID,
-    ServiceConfig,
-    ServiceError,
-    StreamingUpdateService,
-    reset_register_deprecation_warning,
-)
+from repro.service import ServiceConfig, ServiceError, StreamingUpdateService
 from repro.service.service import default_algorithm_factory
 from repro.spl.matrix import SLenMatrix
 from repro.workloads.pattern_gen import PatternSpec, generate_pattern
@@ -448,42 +441,6 @@ def test_subscriptions_survive_journal_compaction(tmp_path):
         assert set(revived.snapshot("g").subscriptions) == {"q0"}
         assert revived.matches("g", pattern_id="q0") == expected
         await revived.close()
-
-    run(scenario())
-
-
-# ----------------------------------------------------------------------
-# The single-pattern shim
-# ----------------------------------------------------------------------
-def test_register_graph_shim_serves_default_pattern():
-    async def scenario():
-        reset_register_deprecation_warning()
-        service = StreamingUpdateService(ServiceConfig(**QUIET))
-        with pytest.warns(DeprecationWarning, match="register_graph.*deprecated"):
-            snapshot = await service.register_graph("g", make_pattern(), make_data())
-        assert snapshot.pattern_ids == (DEFAULT_PATTERN_ID,)
-        # Legacy accessors and pattern-unaddressed reads resolve "default".
-        assert snapshot.result.as_dict() == service.matches("g")
-        assert service.matches("g") == service.matches("g", pattern_id=DEFAULT_PATTERN_ID)
-        await service.submit("g", {"inserts": [edge_spec("n0", "n2")]})
-        await service.drain()
-        assert_matches_oracle(service, "g")
-        await service.close()
-
-    run(scenario())
-
-
-def test_register_graph_deprecation_warns_once_per_process():
-    async def scenario():
-        reset_register_deprecation_warning()
-        service = StreamingUpdateService(ServiceConfig(**QUIET))
-        with pytest.warns(DeprecationWarning):
-            await service.register_graph("g1", make_pattern(), make_data())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            await service.register_graph("g2", make_pattern(), make_data())
-        await service.close()
-        reset_register_deprecation_warning()
 
     run(scenario())
 

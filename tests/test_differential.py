@@ -219,7 +219,8 @@ def test_as_of_reads_match_every_checkpointed_version(seed):
 
     async def scenario():
         service = StreamingUpdateService(stress_config())
-        await service.register_graph("g", pattern, data)
+        await service.register("g", data)
+        await service.subscribe("g", "p", pattern)
         try:
             checkpoints = {0: _expected_reads(pattern, data)}
             for version, (payload, graph) in enumerate(zip(payloads, states), start=1):
@@ -234,10 +235,10 @@ def test_as_of_reads_match_every_checkpointed_version(seed):
             for version in versions:
                 matches, top_k, slen = checkpoints[version]
                 label = f"seed={seed}, as_of={version}"
-                assert service.matches("g", as_of=version) == matches, label
+                assert service.matches("g", pattern_id="p", as_of=version) == matches, label
                 got_top_k = {
                     p: [(match.data_node, match.score) for match in ranked]
-                    for p, ranked in service.top_k("g", 5, as_of=version).items()
+                    for p, ranked in service.top_k("g", 5, pattern_id="p", as_of=version).items()
                 }
                 assert got_top_k == top_k, label
                 nodes = sorted(str(node) for node in slen.nodes())[:6]
@@ -268,7 +269,8 @@ def test_as_of_past_eviction_raises_clean_version_expired():
 
     async def scenario():
         service = StreamingUpdateService(stress_config(history=2))
-        await service.register_graph("g", pattern, data)
+        await service.register("g", data)
+        await service.subscribe("g", "p", pattern)
         try:
             for payload in payloads:
                 await service.submit("g", payload)
@@ -276,20 +278,20 @@ def test_as_of_past_eviction_raises_clean_version_expired():
             latest = len(payloads)
             for stale in range(latest - 1):  # only the last 2 are retained
                 with pytest.raises(VersionExpiredError) as excinfo:
-                    service.matches("g", as_of=stale)
+                    service.matches("g", pattern_id="p", as_of=stale)
                 assert excinfo.value.version == stale
                 some_node = sorted(str(node) for node in data.nodes())[0]
                 with pytest.raises(VersionExpiredError):
-                    service.top_k("g", 3, as_of=stale)
+                    service.top_k("g", 3, pattern_id="p", as_of=stale)
                 with pytest.raises(VersionExpiredError):
                     service.slen_distance("g", some_node, some_node, as_of=stale)
             # Unpublished future versions fail the same clean way.
             with pytest.raises(VersionExpiredError):
-                service.matches("g", as_of=latest + 1)
+                service.matches("g", pattern_id="p", as_of=latest + 1)
             # Retained versions still answer exactly.
             for version in (latest - 1, latest):
                 matches, _, _ = _expected_reads(pattern, states[version - 1])
-                assert service.matches("g", as_of=version) == matches
+                assert service.matches("g", pattern_id="p", as_of=version) == matches
         finally:
             await service.close()
 

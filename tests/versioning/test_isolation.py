@@ -128,7 +128,7 @@ def oracle_check(handle, pattern, expected: DataGraph) -> None:
     oracle_slen = SLenMatrix.from_graph(expected)
     assert handle.slen == oracle_slen
     oracle_result = gpnm_query(pattern, expected, oracle_slen)
-    assert handle.result.as_dict() == oracle_result.as_dict()
+    assert handle.snapshot.state_for("p").result.as_dict() == oracle_result.as_dict()
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -150,7 +150,8 @@ def test_concurrent_readers_always_see_a_consistent_version(case):
         )
 
         service = StreamingUpdateService(stress_config())
-        await service.register_graph("g", pattern, base)
+        await service.register("g", base)
+        await service.subscribe("g", "p", pattern)
 
         pinned: list = []
         errors: list[BaseException] = []
@@ -223,7 +224,8 @@ def test_pinned_handle_outlives_history_eviction():
         base = make_random_graph(num_nodes=16, num_edges=40, seed=99)
         pattern = make_random_pattern(seed=99)
         service = StreamingUpdateService(stress_config(history=3))
-        await service.register_graph("g", pattern, base)
+        await service.register("g", base)
+        await service.subscribe("g", "p", pattern)
 
         pinned_base = service.pin("g", 0)
         rng = random.Random(99)
@@ -236,7 +238,7 @@ def test_pinned_handle_outlives_history_eviction():
         with pytest.raises(VersionExpiredError):
             service.snapshot("g", as_of=0)
         with pytest.raises(VersionExpiredError):
-            service.matches("g", as_of=0)
+            service.matches("g", pattern_id="p", as_of=0)
         # …but the pinned handle still answers from the original state.
         oracle_check(pinned_base, pattern, base)
         pinned_base.release()
@@ -257,7 +259,8 @@ def test_reader_pin_is_wait_free_during_a_slow_settle():
         base = make_random_graph(num_nodes=16, num_edges=40, seed=7)
         pattern = make_random_pattern(seed=7)
         service = StreamingUpdateService(stress_config())
-        await service.register_graph("g", pattern, base)
+        await service.register("g", base)
+        await service.subscribe("g", "p", pattern)
 
         payloads, states = random_payloads(base, random.Random(7), 1, False)
         submit = asyncio.ensure_future(service.submit("g", payloads[0]))
